@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-dist test-rescale race bench bench-engine bench-paper cover lint verify
+.PHONY: build test test-dist test-rescale race bench bench-build bench-engine bench-paper cover lint verify
 
 build:
 	$(GO) build ./...
@@ -18,11 +18,12 @@ test-dist:
 # test-rescale runs the live-rescaling battery race-checked end to end: the
 # key-group partitioning invariants (incl. the fuzz seed corpus) in
 # statebackend, the engine's drain→repartition→resume protocol (identity,
-# validation, fault-interleaving, all transports), the in-process and
-# distributed controller paths, and the fused/unfused × transport study.
+# validation, fault-interleaving, all transports), the reconfiguration
+# core's table tests, the in-process and distributed controller paths, and
+# the fused/unfused × transport study.
 test-rescale:
 	$(GO) test -race -timeout 5m ./internal/statebackend
-	$(GO) test -race -timeout 5m -run 'Rescale|SplitOpStates|RouteMatchesStateAssignment' ./internal/engine ./internal/controller ./internal/experiments
+	$(GO) test -race -timeout 5m -run 'Rescale|Reconfig|SplitOpStates|RouteMatchesStateAssignment' ./internal/engine ./internal/controller ./internal/experiments
 
 race:
 	$(GO) test -race ./...
@@ -32,6 +33,14 @@ race:
 # with per-variant effort counters plus the derived ratios.
 bench:
 	BENCH_CAPS_OUT=$(CURDIR)/BENCH_caps.json $(GO) test -run '^$$' -bench 'BenchmarkSearch' -benchmem ./internal/caps
+
+# bench-build vets and tests the benchmark harness. perfbench/ is its own Go
+# module (it imports this one through a replace directive), so neither
+# `go test ./...` nor `go vet ./...` reaches it; this target catches an
+# engine or controller API change that breaks the benchmark.
+bench-build:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # bench-engine runs the data-plane throughput suite (linear chain fused and
 # unfused, fan-out, join, the nexmark Q3-inf shape, and a keyed-window job
@@ -67,11 +76,13 @@ lint:
 # aggregation path and the key-group repartitioning under rescale), run the
 # entire test suite under the race detector (benchmarks skip themselves
 # under -race; see bench_race_on_test.go), and finish with the live-rescale
-# and multi-process distributed batteries.
+# and multi-process distributed batteries. bench-build keeps the separate
+# benchmark module compiling against the engine.
 verify:
 	$(GO) vet ./...
 	$(GO) run ./cmd/capslint -strict ./...
 	$(GO) build ./...
+	$(MAKE) bench-build
 	$(GO) test -race ./internal/caps/... ./internal/engine/... ./internal/controller/... ./internal/statebackend/...
 	$(GO) test -race ./...
 	$(MAKE) test-rescale

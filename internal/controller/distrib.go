@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +32,13 @@ import (
 //	worker -> coordinator  DONE    {final report}
 //
 // Checkpoint snapshots stream to the coordinator as they are taken, so the
-// coordinator's SnapshotStore plays the role of durable remote checkpoint
-// storage: state survives any worker's death. Failure detection is
-// control-plane liveness — a broken worker connection or missed heartbeats
-// — and recovery aborts the survivors, re-places the dead workers' tasks,
-// and redeploys everything from the last globally complete epoch, exactly
-// mirroring the in-process engine's kill-recovery path.
+// checkpoint store of its engine.Reconfig plays the role of durable remote
+// checkpoint storage: state survives any worker's death. Failure detection
+// is control-plane liveness — a broken worker connection or missed
+// heartbeats — plus workers' PEERDOWN reports. Every restart (worker death,
+// data-plane failure, live rescale) aborts the survivors and hands the
+// decision to the same reconfiguration core the in-process engine uses,
+// which picks the restore epoch and validates the next plan.
 
 // TaskAssignment is one task-to-worker placement in wire-safe form.
 type TaskAssignment struct {
@@ -103,12 +103,10 @@ type OpParallelism struct {
 	Parallelism int
 }
 
-// Plan reconstructs the dataflow plan from the wire-safe assignments.
+// Plan reconstructs the dataflow plan from the wire-safe assignments (nil
+// if a task is assigned twice).
 func (d DeploySpec) Plan() *dataflow.Plan {
-	p := dataflow.NewPlanSized(len(d.Assign))
-	for _, a := range d.Assign {
-		p.Assign(dataflow.TaskID{Op: dataflow.OperatorID(a.Task.Op), Index: a.Task.Index}, a.Worker)
-	}
+	p, _ := planOf(d.Assign)
 	return p
 }
 
@@ -130,7 +128,7 @@ func NexmarkBuilder() JobBuilder {
 // lands in the hub the heartbeat sampler and trace feed read from.
 func NexmarkBuilderWith(tel *telemetry.Telemetry) JobBuilder {
 	return func(spec DeploySpec) (*engine.Job, error) {
-		q, err := nexmark.ByName(spec.Query)
+		q, graph, err := deployGraph(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -141,17 +139,6 @@ func NexmarkBuilderWith(tel *telemetry.Telemetry) JobBuilder {
 		if spec.CPUCostScale > 0 && spec.CPUCostScale != 1 {
 			for op := range binding.PerRecordCPU {
 				binding.PerRecordCPU[op] *= spec.CPUCostScale
-			}
-		}
-		graph := q.Graph
-		if len(spec.Rescaled) > 0 {
-			over := make(map[dataflow.OperatorID]int, len(spec.Rescaled))
-			for _, r := range spec.Rescaled {
-				over[dataflow.OperatorID(r.Op)] = r.Parallelism
-			}
-			graph, err = graph.Rescale(over)
-			if err != nil {
-				return nil, fmt.Errorf("controller: applying rescale overrides: %w", err)
 			}
 		}
 		opts := engine.JobOptions{
@@ -169,6 +156,28 @@ func NexmarkBuilderWith(tel *telemetry.Telemetry) JobBuilder {
 		}
 		return engine.NewJob(graph, spec.Plan(), engine.ClusterSpec{Workers: spec.Workers}, binding.Factories, opts)
 	}
+}
+
+// deployGraph resolves a deploy spec's query and applies its rescale
+// overrides. Workers build their jobs on it and the coordinator its
+// reconfiguration core, so both sides derive the same topology.
+func deployGraph(spec DeploySpec) (nexmark.QuerySpec, *dataflow.LogicalGraph, error) {
+	q, err := nexmark.ByName(spec.Query)
+	if err != nil {
+		return q, nil, err
+	}
+	if len(spec.Rescaled) == 0 {
+		return q, q.Graph, nil
+	}
+	over := make(map[dataflow.OperatorID]int, len(spec.Rescaled))
+	for _, r := range spec.Rescaled {
+		over[dataflow.OperatorID(r.Op)] = r.Parallelism
+	}
+	g, err := q.Graph.Rescale(over)
+	if err != nil {
+		return q, nil, fmt.Errorf("controller: applying rescale overrides: %w", err)
+	}
+	return q, g, nil
 }
 
 // Control-plane frame payloads.
@@ -255,12 +264,9 @@ type CoordinatorOptions struct {
 	// cluster to that epoch, repartitioning the operator's key-groups in the
 	// coordinator's snapshot store, and redeploying every worker on the
 	// rescaled topology. More can be added at runtime via ScheduleRescale.
+	// Surviving tasks stay put; new tasks pack onto the lowest-index live
+	// workers with free slots.
 	Rescales []engine.RescalePlan
-	// RescaleAssign re-places tasks for an applied rescale (the previous
-	// assignments still name the old task set; the returned set must cover
-	// the rescaled one). Nil keeps surviving tasks where they are and packs
-	// new tasks onto the lowest-index live workers with free slots.
-	RescaleAssign func(ev engine.RescaleEvent, prev []TaskAssignment) ([]TaskAssignment, error)
 	// Logf, when set, receives progress lines ("checkpoint: epoch 3
 	// complete", "worker 1 dead: ...").
 	Logf func(format string, args ...any)
@@ -278,13 +284,16 @@ type CoordinatorOptions struct {
 
 // Coordinator supervises one distributed job across worker processes.
 type Coordinator struct {
-	ln    net.Listener
-	spec  DeploySpec
-	n     int
-	opts  CoordinatorOptions
-	store *engine.SnapshotStore
-	clk   clock.Clock
-	agg   clusterAgg
+	ln   net.Listener
+	spec DeploySpec
+	n    int
+	opts CoordinatorOptions
+	// rc is the reconfiguration core: graph, plan, checkpoint store,
+	// pending rescales and restart accounting. The supervision loop drives
+	// it; ScheduleRescale may queue into it from any goroutine.
+	rc  *engine.Reconfig
+	clk clock.Clock
+	agg clusterAgg
 
 	// connMu orders WaitJoined's appends to conns against connSnapshot
 	// reads from HTTP handlers; once the cluster is complete the slice is
@@ -301,16 +310,9 @@ type Coordinator struct {
 	// (PEERDOWN reports whose accused peer was still control-plane live);
 	// bounded by maxDataPlaneRestarts before escalating to a worker death.
 	dpRestarts int
-
-	// rescaleMu guards the pending rescale queue: ScheduleRescale appends
-	// from any goroutine; the supervision loop consumes.
-	rescaleMu      sync.Mutex
-	pendingRescale []engine.RescalePlan
-	// rescaledAt/lastRescale carry one applied rescale across the redeploy:
-	// downtime ends (and rescale.complete fires) when the rescaled attempt
-	// starts. Only the supervision loop touches them.
-	rescaledAt  time.Time
-	lastRescale *engine.RescaleEvent
+	// faults records worker deaths for the result. Only the supervision
+	// loop touches it.
+	faults []engine.FaultRecord
 }
 
 type coordConn struct {
@@ -337,34 +339,36 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 	if workers <= 0 || workers > len(spec.Workers) {
 		return nil, fmt.Errorf("controller: %d worker processes for a %d-worker spec", workers, len(spec.Workers))
 	}
-	if len(spec.Assign) == 0 {
-		return nil, fmt.Errorf("controller: deploy spec has no task assignments")
-	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 5 * time.Second
 	}
 	if opts.StopTimeout <= 0 {
 		opts.StopTimeout = 10 * time.Second
 	}
-	// Pin the key-group count so every worker, every attempt, and the
-	// coordinator's own repartitioning agree on how keyed state and keyed
-	// routing partition — before and after any rescale. The resolution
-	// mirrors engine.NewJob's default so a pre-rescale cluster is
-	// byte-compatible with one that never pins.
-	if spec.KeyGroups == 0 {
-		spec.KeyGroups = engine.DefaultKeyGroups
-		for _, p := range opParallelisms(spec.Assign) {
-			if p > spec.KeyGroups {
-				spec.KeyGroups = p
-			}
-		}
+	_, graph, err := deployGraph(spec)
+	if err != nil {
+		return nil, err
 	}
+	rc, err := engine.NewReconfig(engine.ReconfigConfig{
+		Graph:            graph,
+		Plan:             spec.Plan(),
+		Cluster:          engine.ClusterSpec{Workers: spec.Workers},
+		KeyGroups:        spec.KeyGroups,
+		SnapshotInterval: spec.SnapshotInterval,
+		Now:              opts.Now,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("controller: deploy spec: %w", err)
+	}
+	// Pin the key-group count so every worker, every attempt, and the
+	// core's own repartitioning agree on how keyed state and keyed routing
+	// partition — before and after any rescale.
+	spec.KeyGroups = rc.KeyGroups()
 	co := &Coordinator{
-		ln:     nil,
 		spec:   spec,
 		n:      workers,
 		opts:   opts,
-		store:  engine.NewSnapshotStore(len(spec.Assign)),
+		rc:     rc,
 		clk:    opts.Now.OrSystem(),
 		agg:    clusterAgg{tel: opts.Telemetry},
 		events: make(chan coordEvent, 64),
@@ -382,66 +386,10 @@ func NewCoordinator(listen string, spec DeploySpec, workers int, opts Coordinato
 	return co, nil
 }
 
-// opParallelisms derives each operator's parallelism from the task
-// assignments (task indices are dense, so the count is the parallelism).
-func opParallelisms(assign []TaskAssignment) map[string]int {
-	out := make(map[string]int)
-	for _, a := range assign {
-		out[a.Task.Op]++
-	}
-	return out
-}
-
-// ScheduleRescale queues a live parallelism change; it triggers at the first
-// globally complete checkpoint epoch >= AtEpoch. Safe from any goroutine
-// while the coordinator runs.
+// ScheduleRescale queues a live parallelism change, validated as
+// Job.Rescale is. Safe from any goroutine while the coordinator runs.
 func (co *Coordinator) ScheduleRescale(p engine.RescalePlan) error {
-	if co.spec.SnapshotInterval <= 0 {
-		return fmt.Errorf("controller: rescale needs checkpoints; set SnapshotInterval > 0")
-	}
-	ps := opParallelisms(co.spec.Assign)
-	if ps[string(p.Op)] == 0 {
-		return fmt.Errorf("controller: rescale of unknown operator %q", p.Op)
-	}
-	if p.Parallelism <= 0 {
-		return fmt.Errorf("controller: rescale of %q to non-positive parallelism %d", p.Op, p.Parallelism)
-	}
-	if p.Parallelism > co.spec.KeyGroups {
-		return fmt.Errorf("controller: rescale of %q to %d exceeds %d key-groups", p.Op, p.Parallelism, co.spec.KeyGroups)
-	}
-	if p.AtEpoch < 0 {
-		return fmt.Errorf("controller: rescale of %q at negative epoch %d", p.Op, p.AtEpoch)
-	}
-	co.rescaleMu.Lock()
-	co.pendingRescale = append(co.pendingRescale, p)
-	co.rescaleMu.Unlock()
-	return nil
-}
-
-// dueRescale returns the first pending plan due at the given complete epoch
-// without removing it — the plan stays pending until applied, so a worker
-// death racing the drain simply re-triggers it at the next complete epoch.
-func (co *Coordinator) dueRescale(epoch int64) *engine.RescalePlan {
-	co.rescaleMu.Lock()
-	defer co.rescaleMu.Unlock()
-	for i := range co.pendingRescale {
-		if epoch >= co.pendingRescale[i].AtEpoch {
-			p := co.pendingRescale[i]
-			return &p
-		}
-	}
-	return nil
-}
-
-func (co *Coordinator) dropRescale(p *engine.RescalePlan) {
-	co.rescaleMu.Lock()
-	defer co.rescaleMu.Unlock()
-	for i := range co.pendingRescale {
-		if co.pendingRescale[i] == *p {
-			co.pendingRescale = append(co.pendingRescale[:i], co.pendingRescale[i+1:]...)
-			return
-		}
-	}
+	return co.rc.Schedule(p)
 }
 
 // Addr is the bound control-plane address workers join.
@@ -593,254 +541,201 @@ func (co *Coordinator) staleWorker(alive map[int]bool) (int, bool) {
 	return -1, false
 }
 
-// Run drives the job to completion across the joined workers, recovering
-// from worker deaths when Replan is set, and assembles the distributed
-// JobResult from the final attempt's reports.
+// Run drives the job to completion across the joined workers, restarting it
+// after worker deaths (when Replan is set), data-plane failures and live
+// rescales, and assembles the distributed JobResult from the final
+// attempt's reports.
 func (co *Coordinator) Run(ctx context.Context) (*engine.JobResult, error) {
 	if len(co.conns) < co.n {
 		return nil, fmt.Errorf("controller: Run before WaitJoined completed (%d of %d workers)", len(co.conns), co.n)
 	}
 	start := co.clk()
-	assign := co.spec.Assign
 	alive := make(map[int]bool, co.n)
 	for w := 0; w < co.n; w++ {
 		alive[w] = true
 	}
-	var agg engine.DistAgg
-	var restore int64
-	var failedAt time.Time
-
 	for attempt := 1; ; attempt++ {
-		res, err := co.runAttempt(ctx, start, &agg, alive, &assign, &restore, &failedAt, attempt)
-		if err == errRetryAttempt {
+		reports, why, err := co.runAttempt(ctx, alive, attempt)
+		if err != nil {
+			return nil, err
+		}
+		if why == nil {
+			all := make([]*engine.WorkerReport, 0, len(reports))
+			for _, r := range reports {
+				all = append(all, r)
+			}
+			res := engine.AssembleDistResult(all, engine.DistAgg{Elapsed: co.clk.Since(start)})
+			res.Faults = co.faults
+			co.rc.Finish(res)
+			co.trace(telemetry.Event{Kind: telemetry.EventJobComplete, Attempt: attempt,
+				Attrs: map[string]any{"recoveries": res.Recoveries, "snapshots": res.SnapshotsTaken}})
+			return res, nil
+		}
+		if err := co.restart(ctx, start, alive, attempt, why); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// restartCause is what ended an attempt early: a worker declared dead, a
+// data-plane failure between two live workers, or a due rescale.
+type restartCause struct {
+	dead int   // worker declared dead, or -1
+	err  error // why it was declared dead
+	// reporter could not reach accused although both are control-plane live.
+	reporter, accused int
+	// rescale is the rescale due once epoch completed.
+	rescale *engine.RescalePlan
+	epoch   int64
+}
+
+// runAttempt deploys and supervises one attempt. It returns the final
+// reports when every live worker finished, or the cause that ended the
+// attempt early.
+func (co *Coordinator) runAttempt(ctx context.Context, alive map[int]bool, attempt int) (map[int]*engine.WorkerReport, *restartCause, error) {
+	co.curAttempt.Store(int64(attempt))
+	// The plan converts to wire assignments here, at the wire edge only.
+	assign, err := AssignmentsOf(co.rc.Phys(), co.rc.Plan())
+	if err != nil {
+		return nil, nil, err
+	}
+	restore, restoreSnaps := co.rc.RestoreSnapshots()
+
+	// Phase 1: deploy, gather every live worker's data address.
+	for w := range alive {
+		d := co.spec
+		d.Assign = assign
+		d.Attempt = attempt
+		d.Local = w
+		d.RestoreEpoch = restore
+		for _, s := range restoreSnaps {
+			if sw, _ := co.rc.Plan().Worker(dataflow.TaskID{Op: dataflow.OperatorID(s.Task.Op), Index: s.Task.Index}); sw == w {
+				d.Snapshots = append(d.Snapshots, s)
+			}
+		}
+		if err := co.conns[w].w.send(engine.FrameDeploy, d); err != nil {
+			if errors.Is(err, errEncodePayload) {
+				// Local encode failure (e.g. the restore snapshot set
+				// outgrew MaxFramePayload): the worker is healthy, and
+				// the oversized data would survive any redeploy. Fail
+				// the run with the real cause.
+				return nil, nil, fmt.Errorf("controller: deploy for worker %d: %w", w, err)
+			}
+			return nil, &restartCause{dead: w, err: err}, nil
+		}
+	}
+	peers := make(map[int]string, len(alive))
+	for len(peers) < len(alive) {
+		ev, err := co.nextEvent(ctx, alive)
+		if err != nil {
+			return nil, nil, err
+		}
+		if !alive[ev.worker] {
 			continue
 		}
-		return res, err
+		if ev.err != nil {
+			return nil, &restartCause{dead: ev.worker, err: ev.err}, nil
+		}
+		switch ev.frame.Type {
+		case engine.FrameReady:
+			var r wireReady
+			if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil {
+				return nil, nil, fmt.Errorf("controller: bad READY from worker %d: %w", ev.worker, err)
+			}
+			if r.Attempt == attempt {
+				peers[ev.worker] = r.Addr
+			}
+		case engine.FrameHeartbeat:
+		default:
+			// Stale events from the aborted attempt (snapshots, late
+			// DONE/STOPPED reports) are dropped.
+		}
 	}
-}
 
-// runAttempt deploys and supervises one attempt. errRetryAttempt means a
-// worker died, recovery succeeded, and Run should redeploy.
-func (co *Coordinator) runAttempt(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt int) (*engine.JobResult, error) {
-	{
-		co.curAttempt.Store(int64(attempt))
-		taskWorker := make(map[engine.WireTaskID]int, len(*assign))
-		for _, a := range *assign {
-			taskWorker[a.Task] = a.Worker
+	// Phase 2: start. Downtime ends when the restarted attempt begins.
+	for _, ev := range co.rc.AttemptStarted() {
+		ev.Attempt = attempt
+		co.trace(ev)
+	}
+	for w := range alive {
+		if err := co.conns[w].w.send(engine.FrameStart, wireStart{Attempt: attempt, Peers: peers}); err != nil {
+			if errors.Is(err, errEncodePayload) {
+				return nil, nil, fmt.Errorf("controller: start for worker %d: %w", w, err)
+			}
+			return nil, &restartCause{dead: w, err: err}, nil
 		}
-		restoreSnaps := co.store.EpochSnapshots(*restore)
+	}
 
-		// Phase 1: deploy, gather every live worker's data address.
-		for w := range alive {
-			d := co.spec
-			d.Assign = *assign
-			d.Attempt = attempt
-			d.Local = w
-			d.RestoreEpoch = *restore
-			for _, s := range restoreSnaps {
-				if taskWorker[s.Task] == w {
-					d.Snapshots = append(d.Snapshots, s)
-				}
-			}
-			if err := co.conns[w].w.send(engine.FrameDeploy, d); err != nil {
-				if errors.Is(err, errEncodePayload) {
-					// Local encode failure (e.g. the restore snapshot set
-					// outgrew MaxFramePayload): the worker is healthy, and
-					// the oversized data would survive any redeploy. Fail
-					// the run with the real cause.
-					return nil, fmt.Errorf("controller: deploy for worker %d: %w", w, err)
-				}
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, w, err)
-			}
+	// Phase 3: supervise until every live worker reports DONE.
+	reports := make(map[int]*engine.WorkerReport, len(alive))
+	for len(reports) < len(alive) {
+		ev, err := co.nextEvent(ctx, alive)
+		if err != nil {
+			return nil, nil, err
 		}
-		peers := make(map[int]string, len(alive))
-		for len(peers) < len(alive) {
-			ev, err := co.nextEvent(ctx, alive)
-			if err != nil {
-				return nil, err
-			}
-			if !alive[ev.worker] {
+		if !alive[ev.worker] {
+			continue
+		}
+		if ev.err != nil {
+			// A connection error after DONE is an exiting worker, not a
+			// failure of the attempt.
+			if reports[ev.worker] != nil {
 				continue
 			}
-			if ev.err != nil {
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, ev.worker, ev.err)
-			}
-			switch ev.frame.Type {
-			case engine.FrameReady:
-				var r wireReady
-				if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil {
-					return nil, fmt.Errorf("controller: bad READY from worker %d: %w", ev.worker, err)
+			return nil, &restartCause{dead: ev.worker, err: ev.err}, nil
+		}
+		switch ev.frame.Type {
+		case engine.FrameSnapshot:
+			var s wireSnap
+			if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == attempt {
+				if done := co.rc.RecordSnapshot(s.Snap); done > 0 {
+					co.logf("checkpoint: epoch %d complete (%d snapshots)", done, co.rc.SnapshotsTaken())
+					co.trace(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: attempt,
+						Attrs: map[string]any{"snapshots": co.rc.SnapshotsTaken()}})
+					if p := co.rc.Due(done); p != nil {
+						return nil, &restartCause{dead: -1, rescale: p, epoch: done}, nil
+					}
 				}
-				if r.Attempt == attempt {
-					peers[ev.worker] = r.Addr
-				}
-			case engine.FrameHeartbeat:
-			default:
-				// Stale events from the aborted attempt (snapshots, late
-				// DONE/STOPPED reports) are dropped.
 			}
-		}
-
-		// Phase 2: start. Downtime ends when the restarted attempt begins.
-		if !failedAt.IsZero() {
-			agg.Downtime += co.clk.Since(*failedAt)
-			*failedAt = time.Time{}
-		}
-		if !co.rescaledAt.IsZero() {
-			// Rescale downtime likewise ends once the rescaled deployment is
-			// about to start.
-			d := co.clk.Since(co.rescaledAt)
-			agg.RescaleDowntime += d
-			co.rescaledAt = time.Time{}
-			if ev := co.lastRescale; ev != nil {
-				co.trace(telemetry.Event{Kind: telemetry.EventRescaleComplete, Op: string(ev.Op), Epoch: ev.Epoch, Attempt: attempt,
-					Attrs: map[string]any{"from": ev.OldParallelism, "to": ev.NewParallelism, "downtime_ms": d.Seconds() * 1e3}})
-				co.lastRescale = nil
+		case engine.FrameEpochStart:
+			var e wireEpoch
+			if err := engine.DecodePayload(ev.frame.Payload, &e); err == nil && e.Attempt == attempt {
+				co.conns[ev.worker].lastEpoch.Store(e.Epoch)
+				co.logf("epoch %d started", e.Epoch)
+				co.trace(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: e.Epoch, Attempt: attempt})
 			}
-		}
-		for w := range alive {
-			if err := co.conns[w].w.send(engine.FrameStart, wireStart{Attempt: attempt, Peers: peers}); err != nil {
-				if errors.Is(err, errEncodePayload) {
-					return nil, fmt.Errorf("controller: start for worker %d: %w", w, err)
-				}
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, w, err)
-			}
-		}
-
-		// Phase 3: supervise until every live worker reports DONE.
-		reports := make(map[int]*engine.WorkerReport, len(alive))
-		for len(reports) < len(alive) {
-			ev, err := co.nextEvent(ctx, alive)
-			if err != nil {
-				return nil, err
-			}
-			if !alive[ev.worker] {
-				continue
-			}
-			if ev.err != nil {
-				// A connection error after DONE is an exiting worker, not a
-				// failure of the attempt.
-				if reports[ev.worker] != nil {
+		case engine.FramePeerDown:
+			var p wirePeer
+			if err := engine.DecodePayload(ev.frame.Payload, &p); err == nil && p.Attempt == attempt {
+				if !alive[p.Peer] {
+					// Already known dead: recovery via its control-plane
+					// liveness is in motion, nothing new to act on.
+					co.logf("worker %d reports peer %d unreachable (already dead)", ev.worker, p.Peer)
 					continue
 				}
-				return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, ev.worker, ev.err)
+				// The accused peer is still control-plane live: the failure
+				// is data-plane-only (TCP reset between live workers, a
+				// severed shared connection). Heartbeats will never detect
+				// it, so act on the report: restart the attempt, keeping
+				// every worker — until the restart budget is spent, when the
+				// accused peer is treated as dead.
+				if co.dpRestarts >= maxDataPlaneRestarts {
+					return nil, &restartCause{dead: p.Peer, err: fmt.Errorf("persistent data-plane failure: worker %d reports it unreachable after %d restarts", ev.worker, co.dpRestarts)}, nil
+				}
+				return nil, &restartCause{dead: -1, reporter: ev.worker, accused: p.Peer}, nil
 			}
-			switch ev.frame.Type {
-			case engine.FrameSnapshot:
-				var s wireSnap
-				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == attempt {
-					if done := co.store.Record(s.Snap); done > 0 {
-						co.logf("checkpoint: epoch %d complete (%d snapshots)", done, co.store.Taken())
-						co.trace(telemetry.Event{Kind: telemetry.EventCheckpointComplete, Epoch: done, Attempt: attempt,
-							Attrs: map[string]any{"snapshots": co.store.Taken()}})
-						if p := co.dueRescale(done); p != nil {
-							return co.rescaleLive(ctx, start, agg, alive, assign, restore, failedAt, attempt, p)
-						}
-					}
-				}
-			case engine.FrameEpochStart:
-				var e wireEpoch
-				if err := engine.DecodePayload(ev.frame.Payload, &e); err == nil && e.Attempt == attempt {
-					co.conns[ev.worker].lastEpoch.Store(e.Epoch)
-					co.logf("epoch %d started", e.Epoch)
-					co.trace(telemetry.Event{Kind: telemetry.EventCheckpointStart, Epoch: e.Epoch, Attempt: attempt})
-				}
-			case engine.FramePeerDown:
-				var p wirePeer
-				if err := engine.DecodePayload(ev.frame.Payload, &p); err == nil && p.Attempt == attempt {
-					if !alive[p.Peer] {
-						// Already known dead: recovery via its control-plane
-						// liveness is in motion, nothing new to act on.
-						co.logf("worker %d reports peer %d unreachable (already dead)", ev.worker, p.Peer)
-						continue
-					}
-					// The accused peer is still control-plane live: the
-					// failure is data-plane-only (TCP reset between live
-					// workers, a severed shared connection). Heartbeats will
-					// never detect it, so act on the report: restart the
-					// attempt, keeping every worker, from the last complete
-					// epoch.
-					return co.recoverDataPlane(ctx, start, agg, alive, assign, restore, failedAt, attempt, ev.worker, p.Peer)
-				}
-			case engine.FrameDone:
-				var r wireReport
-				if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil || r.Report == nil {
-					return nil, fmt.Errorf("controller: bad DONE from worker %d: %v", ev.worker, err)
-				}
-				if r.Report.Attempt == attempt {
-					reports[ev.worker] = r.Report
-				}
-			case engine.FrameHeartbeat, engine.FrameStopped:
+		case engine.FrameDone:
+			var r wireReport
+			if err := engine.DecodePayload(ev.frame.Payload, &r); err != nil || r.Report == nil {
+				return nil, nil, fmt.Errorf("controller: bad DONE from worker %d: %v", ev.worker, err)
 			}
+			if r.Report.Attempt == attempt {
+				reports[ev.worker] = r.Report
+			}
+		case engine.FrameHeartbeat, engine.FrameStopped:
 		}
-
-		agg.Elapsed = co.clk.Since(start)
-		agg.RestoredEpoch = *restore
-		agg.Snapshots = co.store.Taken()
-		all := make([]*engine.WorkerReport, 0, len(reports))
-		for _, r := range reports {
-			all = append(all, r)
-		}
-		co.trace(telemetry.Event{Kind: telemetry.EventJobComplete, Attempt: attempt,
-			Attrs: map[string]any{"recoveries": agg.Recoveries, "snapshots": agg.Snapshots}})
-		return engine.AssembleDistResult(all, *agg), nil
 	}
-}
-
-// recover handles one worker death mid-attempt: abort the survivors,
-// collect their progress, account reprocessing, re-place the dead workers'
-// tasks and hand control back to Run's attempt loop (the non-nil error
-// return is the unrecoverable path).
-func (co *Coordinator) recover(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt, deadWorker int, cause error) (*engine.JobResult, error) {
-	*failedAt = co.clk()
-	co.logf("worker %d dead (attempt %d): %v", deadWorker, attempt, cause)
-	delete(alive, deadWorker)
-	co.conns[deadWorker].alive.Store(false)
-	co.conns[deadWorker].c.Close()
-	co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(deadWorker), Attempt: attempt,
-		Attrs: map[string]any{"cause": cause.Error()}})
-	agg.Faults = append(agg.Faults, engine.FaultRecord{
-		Kind:      engine.FaultKillWorker,
-		Worker:    deadWorker,
-		Recovered: co.opts.Replan != nil && len(alive) > 0,
-		At:        co.clk.Since(start),
-	})
-	if co.opts.Replan == nil {
-		return nil, fmt.Errorf("controller: worker %d died and no Replan is configured: %w", deadWorker, cause)
-	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("controller: all workers dead after worker %d: %w", deadWorker, cause)
-	}
-	agg.Recoveries++
-
-	stopped, err := co.abortAndCollect(ctx, start, agg, alive, attempt)
-	if err != nil {
-		return nil, err
-	}
-	if len(alive) == 0 {
-		return nil, fmt.Errorf("controller: all workers dead during recovery: %w", cause)
-	}
-
-	prevRestore := *restore
-	*restore = co.store.LastComplete()
-	agg.Reprocessed += reprocessedSince(stopped, co.store, prevRestore, *restore)
-
-	next, err := co.opts.Replan(deadWorkers(co.n, alive), attempt+1)
-	if err != nil {
-		return nil, fmt.Errorf("controller: re-placement after worker %d died: %w", deadWorker, err)
-	}
-	if err := validateAssign(next, *assign, alive); err != nil {
-		return nil, err
-	}
-	*assign = next
-	co.logf("recovery: restarting attempt %d from epoch %d on %d survivors", attempt+1, *restore, len(alive))
-	co.trace(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: *restore, Attempt: attempt + 1,
-		Attrs: map[string]any{"survivors": len(alive)}})
-	return nil, errRetryAttempt
+	return reports, nil, nil
 }
 
 // maxDataPlaneRestarts bounds how many data-plane-only restarts a run may
@@ -849,194 +744,108 @@ func (co *Coordinator) recover(ctx context.Context, start time.Time, agg *engine
 // control-plane-live workers would restart the job forever.
 const maxDataPlaneRestarts = 3
 
-// recoverDataPlane handles a PEERDOWN report whose accused peer is still
-// control-plane live: the data plane between two live workers failed, a
-// condition heartbeats can never surface. Neither endpoint is provably at
-// fault, so the attempt restarts from the last complete epoch with every
-// worker kept; once the restart budget is exhausted the accused peer is
-// treated as dead and the normal dead-worker recovery runs.
-func (co *Coordinator) recoverDataPlane(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt, reporter, accused int) (*engine.JobResult, error) {
-	if co.dpRestarts >= maxDataPlaneRestarts {
-		return co.recover(ctx, start, agg, alive, assign, restore, failedAt, attempt, accused,
-			fmt.Errorf("persistent data-plane failure: worker %d reports it unreachable after %d restarts", reporter, co.dpRestarts))
+// restart is the coordinator's one restart path. It acts on the detector's
+// verdict (a dead worker is dropped and recorded as a fault), aborts the
+// live workers, collects their progress and hands the restart to the
+// reconfiguration core: the drained rescale, placed by the core's default
+// packing, or else a fault restart, re-placed by Replan if workers died. A
+// death during the abort makes any restart a fault restart; a drained
+// rescale then stays pending.
+func (co *Coordinator) restart(ctx context.Context, start time.Time, alive map[int]bool, attempt int, why *restartCause) error {
+	at := co.clk()
+	var lost []int
+	switch {
+	case why.dead >= 0:
+		co.logf("worker %d dead (attempt %d): %v", why.dead, attempt, why.err)
+		co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(why.dead), Attempt: attempt,
+			Attrs: map[string]any{"cause": why.err.Error()}})
+		co.markDead(start, alive, why.dead)
+		lost = append(lost, why.dead)
+	case why.rescale != nil:
+		oldP := co.rc.Graph().Operator(why.rescale.Op).Parallelism
+		co.logf("rescale: draining %q %d→%d (attempt %d)", why.rescale.Op, oldP, why.rescale.Parallelism, attempt)
+	default:
+		co.dpRestarts++
+		co.logf("worker %d cannot reach live peer %d (attempt %d): restarting all workers (data-plane restart %d/%d)",
+			why.reporter, why.accused, attempt, co.dpRestarts, maxDataPlaneRestarts)
+		co.trace(telemetry.Event{Kind: telemetry.EventPeerDown, Worker: co.workerID(why.accused), Attempt: attempt,
+			Attrs: map[string]any{"reporter": why.reporter, "accused": why.accused, "restart": co.dpRestarts}})
 	}
-	co.dpRestarts++
-	*failedAt = co.clk()
-	co.logf("worker %d cannot reach live peer %d (attempt %d): restarting all workers (data-plane restart %d/%d)",
-		reporter, accused, attempt, co.dpRestarts, maxDataPlaneRestarts)
-	co.trace(telemetry.Event{Kind: telemetry.EventPeerDown, Worker: co.workerID(accused), Attempt: attempt,
-		Attrs: map[string]any{"reporter": reporter, "accused": accused, "restart": co.dpRestarts}})
-	agg.Recoveries++
 
-	stopped, err := co.abortAndCollect(ctx, start, agg, alive, attempt)
+	stopped, died, err := co.abortAndCollect(ctx, start, alive, attempt)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(alive) == 0 {
-		return nil, fmt.Errorf("controller: all workers dead during data-plane restart of attempt %d", attempt)
+		return fmt.Errorf("controller: all workers dead while restarting attempt %d", attempt)
 	}
-
-	prevRestore := *restore
-	*restore = co.store.LastComplete()
-	agg.Reprocessed += reprocessedSince(stopped, co.store, prevRestore, *restore)
-
-	// A worker that died while stopping turns this into an ordinary
-	// dead-worker recovery: its tasks must move, which needs Replan. That
-	// includes the common SIGKILL race where a peer's data-plane report
-	// arrives before control-plane liveness notices the death — emit the
-	// recovery.start the control-plane path would have, so the timeline
-	// records the death recovery whichever detector fired first.
-	if dead := deadWorkers(co.n, alive); len(dead) > 0 {
-		if co.opts.Replan == nil {
-			return nil, fmt.Errorf("controller: worker %d died during data-plane restart and no Replan is configured", dead[0])
+	progress := make(map[dataflow.TaskID]int64)
+	for _, rep := range stopped {
+		for _, ts := range rep.Tasks {
+			progress[dataflow.TaskID{Op: dataflow.OperatorID(ts.Task.Op), Index: ts.Task.Index}] = ts.RecordsIn
 		}
-		for _, d := range dead {
-			co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(d), Attempt: attempt,
-				Attrs: map[string]any{"cause": "worker died during data-plane restart"}})
-		}
-		next, err := co.opts.Replan(dead, attempt+1)
+	}
+	if why.rescale != nil && len(died) == 0 {
+		// The drain completed: resume on the rescaled topology, placed by
+		// the core's default packing. The deploy spec's overrides tell
+		// workers to build the rescaled graph.
+		dec, err := co.rc.RescaleDrained(why.epoch, at, progress, attempt)
 		if err != nil {
-			return nil, fmt.Errorf("controller: re-placement during data-plane restart: %w", err)
+			return err
 		}
-		if err := validateAssign(next, *assign, alive); err != nil {
-			return nil, err
+		ev := dec.Rescale
+		plan, err := co.rc.DefaultRescalePlan()
+		if err == nil {
+			err = co.rc.SetPlan(plan)
 		}
-		*assign = next
-	}
-	co.logf("recovery: restarting attempt %d from epoch %d after data-plane failure", attempt+1, *restore)
-	co.trace(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: *restore, Attempt: attempt + 1,
-		Attrs: map[string]any{"survivors": len(alive), "data_plane": true}})
-	return nil, errRetryAttempt
-}
-
-// rescaleLive executes one scheduled rescale after a complete epoch
-// triggered it: abort every worker (the drain — their state as of the epoch
-// is already in the store), repartition the operator's key-groups at the
-// newest complete epoch, rewrite the deploy spec and assignments for the new
-// parallelism, and redeploy. Mirrors the in-process engine's
-// checkpoint→repartition→resume protocol with the coordinator's store as
-// the durable state.
-func (co *Coordinator) rescaleLive(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, assign *[]TaskAssignment, restore *int64, failedAt *time.Time,
-	attempt int, p *engine.RescalePlan) (*engine.JobResult, error) {
-	co.rescaledAt = co.clk()
-	oldP := opParallelisms(*assign)[string(p.Op)]
-	co.logf("rescale: draining %q %d→%d (attempt %d)", p.Op, oldP, p.Parallelism, attempt)
-	stopped, err := co.abortAndCollect(ctx, start, agg, alive, attempt)
-	if err != nil {
-		return nil, err
-	}
-	if dead := deadWorkers(co.n, alive); len(dead) > 0 {
-		// A worker died while draining: the fault wins. Recovery proceeds as
-		// for any death; the rescale stays pending and re-triggers at the
-		// next complete epoch of the recovered deployment.
-		co.rescaledAt = time.Time{}
-		*failedAt = co.clk()
-		if len(alive) == 0 {
-			return nil, fmt.Errorf("controller: all workers dead during rescale drain")
-		}
-		if co.opts.Replan == nil {
-			return nil, fmt.Errorf("controller: worker %d died during rescale drain and no Replan is configured", dead[0])
-		}
-		agg.Recoveries++
-		for _, d := range dead {
-			co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(d), Attempt: attempt,
-				Attrs: map[string]any{"cause": "worker died during rescale drain"}})
-		}
-		prevRestore := *restore
-		*restore = co.store.LastComplete()
-		agg.Reprocessed += reprocessedSince(stopped, co.store, prevRestore, *restore)
-		next, err := co.opts.Replan(dead, attempt+1)
 		if err != nil {
-			return nil, fmt.Errorf("controller: re-placement during rescale drain: %w", err)
+			return fmt.Errorf("controller: re-placement for rescale of %q: %w", ev.Op, err)
 		}
-		if err := validateAssign(next, *assign, alive); err != nil {
-			return nil, err
+		co.spec.Rescaled = setOverride(co.spec.Rescaled, string(ev.Op), ev.NewParallelism)
+		co.logf("rescale: %q %d→%d applied at epoch %d (%d state bytes moved); redeploying",
+			ev.Op, ev.OldParallelism, ev.NewParallelism, ev.Epoch, ev.MovedBytes)
+		for _, t := range dec.Trace {
+			t.Attempt = attempt
+			co.trace(t)
 		}
-		*assign = next
-		co.logf("recovery: worker died during rescale drain; restarting attempt %d from epoch %d (rescale stays pending)", attempt+1, *restore)
-		co.trace(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: *restore, Attempt: attempt + 1,
-			Attrs: map[string]any{"survivors": len(alive)}})
-		return nil, errRetryAttempt
+		return nil
 	}
 
-	// Late snapshots collected during the abort may have completed a newer
-	// epoch (which prunes older ones from the store); the newest complete
-	// epoch is the one whose snapshots are guaranteed retained. Account the
-	// rolled-back work before the store rewrite discards the old task set.
-	epoch := co.store.LastComplete()
-	prevRestore := *restore
-	reproc := reprocessedSince(stopped, co.store, prevRestore, epoch)
-	moved, err := co.store.ApplyRescale(string(p.Op), oldP, p.Parallelism, co.spec.KeyGroups, epoch)
-	if err != nil {
-		return nil, err
-	}
-	ev := engine.RescaleEvent{
-		Op:             p.Op,
-		OldParallelism: oldP,
-		NewParallelism: p.Parallelism,
-		Epoch:          epoch,
-		MovedBytes:     moved,
-		Attempt:        attempt,
-	}
-	var next []TaskAssignment
-	if co.opts.RescaleAssign != nil {
-		next, err = co.opts.RescaleAssign(ev, *assign)
-	} else {
-		next, err = rescaleAssignments(*assign, string(p.Op), oldP, p.Parallelism, co.spec.Workers, alive)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("controller: re-placement for rescale of %q: %w", p.Op, err)
-	}
-	if err := validateRescaleAssign(next, *assign, string(p.Op), oldP, p.Parallelism, alive); err != nil {
-		return nil, err
-	}
-	co.spec.Rescaled = setOverride(co.spec.Rescaled, string(p.Op), p.Parallelism)
-	*assign = next
-	*restore = epoch
-	agg.Reprocessed += reproc
-	agg.Rescales++
-	agg.RescaleMoved += moved
-	co.lastRescale = &ev
-	co.dropRescale(p)
-	co.logf("rescale: %q %d→%d applied at epoch %d (%d state bytes moved); redeploying", p.Op, oldP, p.Parallelism, epoch, moved)
-	co.trace(telemetry.Event{Kind: telemetry.EventRescaleStart, Op: string(p.Op), Epoch: epoch, Attempt: attempt,
-		Attrs: map[string]any{"from": oldP, "to": p.Parallelism, "state_moved_bytes": moved}})
-	return nil, errRetryAttempt
-}
-
-// rescaleAssignments is the default re-placement for a rescale: every task
-// outside the rescaled operator (and its surviving indices) stays put; fresh
-// tasks pack onto the lowest-index live workers with free slots.
-func rescaleAssignments(prev []TaskAssignment, op string, oldP, newP int, workers []engine.WorkerSpec, alive map[int]bool) ([]TaskAssignment, error) {
-	slotUse := make([]int, len(workers))
-	var next []TaskAssignment
-	for _, a := range prev {
-		if a.Task.Op == op && a.Task.Index >= newP {
-			continue
+	// A fault restart. Deaths during a rescale drain or a data-plane restart
+	// get the recovery.start the control-plane path would have emitted, so
+	// the timeline records them whichever detector fired first.
+	if why.dead < 0 {
+		cause := "worker died during data-plane restart"
+		if why.rescale != nil {
+			cause = "worker died during rescale drain"
+			at = co.clk()
 		}
-		next = append(next, a)
-		if a.Worker >= 0 && a.Worker < len(slotUse) {
-			slotUse[a.Worker]++
+		for _, d := range died {
+			co.trace(telemetry.Event{Kind: telemetry.EventRecoveryStart, Worker: co.workerID(d), Attempt: attempt,
+				Attrs: map[string]any{"cause": cause}})
 		}
 	}
-	for i := oldP; i < newP; i++ {
-		placed := false
-		for w := range workers {
-			if alive[w] && slotUse[w] < workers[w].Slots {
-				next = append(next, TaskAssignment{Task: engine.WireTaskID{Op: op, Index: i}, Worker: w})
-				slotUse[w]++
-				placed = true
-				break
-			}
+	lost = append(lost, died...)
+	if len(lost) > 0 && co.opts.Replan == nil {
+		return fmt.Errorf("controller: worker %d died and no Replan is configured", lost[0])
+	}
+	dec := co.rc.Fault(engine.Fault{At: at, Dead: lost, Progress: progress})
+	if dec.Replace {
+		next, err := co.opts.Replan(deadWorkers(co.n, alive), attempt+1)
+		if err == nil {
+			err = co.adopt(next)
 		}
-		if !placed {
-			return nil, fmt.Errorf("no free slot for new task %s[%d] (need RescaleAssign or more capacity)", op, i)
+		if err != nil {
+			return fmt.Errorf("controller: re-placement after worker %d died: %w", lost[0], err)
 		}
 	}
-	return next, nil
+	attrs := map[string]any{"survivors": len(alive)}
+	if why.dead < 0 && why.rescale == nil {
+		attrs["data_plane"] = true
+	}
+	co.logf("recovery: restarting attempt %d from epoch %d on %d survivors", attempt+1, dec.Epoch, len(alive))
+	co.trace(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: dec.Epoch, Attempt: attempt + 1, Attrs: attrs})
+	return nil
 }
 
 // setOverride records op's new parallelism in the deploy spec's override
@@ -1051,50 +860,31 @@ func setOverride(over []OpParallelism, op string, parallelism int) []OpParalleli
 	return append(over, OpParallelism{Op: op, Parallelism: parallelism})
 }
 
-// validateRescaleAssign rejects rescale re-placements that miss or invent
-// tasks relative to the rescaled task set, or assign onto dead workers.
-func validateRescaleAssign(next, prev []TaskAssignment, op string, oldP, newP int, alive map[int]bool) error {
-	want := make(map[engine.WireTaskID]bool, len(prev)-oldP+newP)
-	for _, a := range prev {
-		if a.Task.Op != op {
-			want[a.Task] = true
-		}
-	}
-	for i := 0; i < newP; i++ {
-		want[engine.WireTaskID{Op: op, Index: i}] = true
-	}
-	if len(next) != len(want) {
-		return fmt.Errorf("controller: rescale re-placement has %d assignments, want %d", len(next), len(want))
-	}
-	seen := make(map[engine.WireTaskID]bool, len(next))
-	for _, a := range next {
-		if !want[a.Task] {
-			return fmt.Errorf("controller: rescale re-placement invented task %v", a.Task)
-		}
-		if seen[a.Task] {
-			return fmt.Errorf("controller: rescale re-placement assigns task %v twice", a.Task)
-		}
-		seen[a.Task] = true
-		if !alive[a.Worker] {
-			return fmt.Errorf("controller: rescale re-placement puts task %v on dead worker %d", a.Task, a.Worker)
-		}
-	}
-	return nil
+// markDead drops worker w from the live set, closes its connection and
+// records its loss as a fault.
+func (co *Coordinator) markDead(start time.Time, alive map[int]bool, w int) {
+	delete(alive, w)
+	co.conns[w].alive.Store(false)
+	co.conns[w].c.Close()
+	co.faults = append(co.faults, engine.FaultRecord{
+		Kind:      engine.FaultKillWorker,
+		Worker:    w,
+		Recovered: co.opts.Replan != nil && len(alive) > 0,
+		At:        co.clk.Since(start),
+	})
 }
 
 // abortAndCollect aborts every live worker and collects their STOPPED
-// progress reports for reprocessing accounting (checkpoint snapshots that
-// raced the abort are still recorded). A worker dying while stopping is
-// removed from alive and gains a fault record; the caller decides what its
-// loss means.
-func (co *Coordinator) abortAndCollect(ctx context.Context, start time.Time, agg *engine.DistAgg,
-	alive map[int]bool, attempt int) (map[int]*engine.WorkerReport, error) {
+// progress reports for the rollback accounting (checkpoint snapshots that
+// raced the abort are still recorded). Workers dying while stopping are
+// marked dead and returned; the caller decides what their loss means.
+func (co *Coordinator) abortAndCollect(ctx context.Context, start time.Time, alive map[int]bool, attempt int) (map[int]*engine.WorkerReport, []int, error) {
 	for w := range alive {
 		co.conns[w].w.send(engine.FrameAbort, wireEpoch{Attempt: attempt})
 	}
 	stopped := make(map[int]*engine.WorkerReport, len(alive))
 	deadline := time.After(co.opts.StopTimeout)
-	var moreDead []int
+	var died []int
 collect:
 	for len(stopped) < len(alive) {
 		select {
@@ -1103,8 +893,9 @@ collect:
 				continue
 			}
 			if ev.err != nil {
-				moreDead = append(moreDead, ev.worker)
-				delete(alive, ev.worker)
+				co.logf("worker %d also died during recovery", ev.worker)
+				co.markDead(start, alive, ev.worker)
+				died = append(died, ev.worker)
 				continue
 			}
 			switch ev.frame.Type {
@@ -1117,24 +908,16 @@ collect:
 				// Snapshots raced the abort; they are still valid state.
 				var s wireSnap
 				if err := engine.DecodePayload(ev.frame.Payload, &s); err == nil && s.Attempt == attempt {
-					co.store.Record(s.Snap)
+					co.rc.RecordSnapshot(s.Snap)
 				}
 			}
 		case <-deadline:
 			break collect
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
-	for _, w := range moreDead {
-		co.logf("worker %d also died during recovery", w)
-		co.conns[w].alive.Store(false)
-		co.conns[w].c.Close()
-		agg.Faults = append(agg.Faults, engine.FaultRecord{
-			Kind: engine.FaultKillWorker, Worker: w, Recovered: len(alive) > 0, At: co.clk.Since(start),
-		})
-	}
-	return stopped, nil
+	return stopped, died, nil
 }
 
 // deadWorkers lists the workers of a co.n-process cluster not in alive.
@@ -1148,58 +931,28 @@ func deadWorkers(n int, alive map[int]bool) []int {
 	return dead
 }
 
-// errRetryAttempt is recover's signal to Run's loop to redeploy. It never
-// escapes Run.
-var errRetryAttempt = fmt.Errorf("controller: retry attempt")
-
-// reprocessedSince mirrors the in-process engine's accounting: records the
-// aborted attempt had processed beyond the restore point are work the next
-// attempt must redo. Dead workers send no report, so their in-flight
-// progress since their last snapshot is unknowable and uncounted.
-func reprocessedSince(stopped map[int]*engine.WorkerReport, store *engine.SnapshotStore, prevRestore, restore int64) int64 {
-	base := make(map[engine.WireTaskID]int64)
-	for _, s := range store.EpochSnapshots(prevRestore) {
-		base[s.Task] = s.RecordsIn
+// adopt installs a Replan result for the next attempt through the core's
+// plan validator.
+func (co *Coordinator) adopt(next []TaskAssignment) error {
+	plan, err := planOf(next)
+	if err != nil {
+		return err
 	}
-	// The newer restore point supersedes the attempt's own starting state.
-	for _, s := range store.EpochSnapshots(restore) {
-		base[s.Task] = s.RecordsIn
-	}
-	var total int64
-	for _, rep := range stopped {
-		for _, ts := range rep.Tasks {
-			if d := ts.RecordsIn - base[ts.Task]; d > 0 {
-				total += d
-			}
-		}
-	}
-	return total
+	return co.rc.SetPlan(plan)
 }
 
-// validateAssign rejects re-placements that drop tasks, invent tasks, or
-// assign onto dead workers.
-func validateAssign(next, prev []TaskAssignment, alive map[int]bool) error {
-	if len(next) != len(prev) {
-		return fmt.Errorf("controller: re-placement has %d assignments, want %d", len(next), len(prev))
-	}
-	known := make(map[engine.WireTaskID]bool, len(prev))
-	for _, a := range prev {
-		known[a.Task] = true
-	}
-	seen := make(map[engine.WireTaskID]bool, len(next))
-	for _, a := range next {
-		if !known[a.Task] {
-			return fmt.Errorf("controller: re-placement invented task %v", a.Task)
+// planOf converts wire assignments to a plan, rejecting a task assigned
+// twice; the reconfiguration core validates the rest.
+func planOf(assign []TaskAssignment) (*dataflow.Plan, error) {
+	p := dataflow.NewPlanSized(len(assign))
+	for _, a := range assign {
+		t := dataflow.TaskID{Op: dataflow.OperatorID(a.Task.Op), Index: a.Task.Index}
+		if _, dup := p.Worker(t); dup {
+			return nil, fmt.Errorf("controller: task %v assigned twice", a.Task)
 		}
-		if seen[a.Task] {
-			return fmt.Errorf("controller: re-placement assigns task %v twice", a.Task)
-		}
-		seen[a.Task] = true
-		if !alive[a.Worker] {
-			return fmt.Errorf("controller: re-placement puts task %v on dead worker %d", a.Task, a.Worker)
-		}
+		p.Assign(t, a.Worker)
 	}
-	return nil
+	return p, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -1451,14 +1204,4 @@ func sumRecordsIn(rep *engine.WorkerReport) int64 {
 		n += t.RecordsIn
 	}
 	return n
-}
-
-// sortedWorkers is a small helper for deterministic logging/tests.
-func sortedWorkers(m map[int]string) []int {
-	out := make([]int, 0, len(m))
-	for w := range m {
-		out = append(out, w)
-	}
-	sort.Ints(out)
-	return out
 }

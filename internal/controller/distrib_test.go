@@ -480,11 +480,17 @@ func TestDistPeerDownEscalatesAfterBudget(t *testing.T) {
 			replanMu.Lock()
 			replanDead = append([]int(nil), dead...)
 			replanMu.Unlock()
-			survivor := 1 - dead[0] // two-process cluster
+			// The dead worker's tasks alternate onto the other two spec
+			// workers, which keeps every worker within its slots.
 			next := make([]TaskAssignment, len(fx.deploy.Assign))
 			copy(next, fx.deploy.Assign)
+			others := []int{1 - dead[0], 2}
+			moved := 0
 			for i := range next {
-				next[i].Worker = survivor
+				if next[i].Worker == dead[0] {
+					next[i].Worker = others[moved%2]
+					moved++
+				}
 			}
 			return next, nil
 		},
@@ -640,6 +646,7 @@ func TestDistRescaleValidation(t *testing.T) {
 		{Op: "slide-win", Parallelism: 0},
 		{Op: "slide-win", Parallelism: engine.DefaultKeyGroups + 1},
 		{Op: "slide-win", Parallelism: 4, AtEpoch: -1},
+		{Op: "src", Parallelism: 3},
 	}
 	for _, p := range bad {
 		if _, err := NewCoordinator("127.0.0.1:0", fx.deploy, distWorkers, CoordinatorOptions{
@@ -679,30 +686,52 @@ func TestDistValidation(t *testing.T) {
 		t.Error("Run before WaitJoined accepted")
 	}
 
-	alive := map[int]bool{0: true, 1: true}
-	prev := []TaskAssignment{
-		{Task: engine.WireTaskID{Op: "a", Index: 0}, Worker: 2},
-		{Task: engine.WireTaskID{Op: "b", Index: 0}, Worker: 0},
+	// Re-placements pass the reconfiguration core's plan validator.
+	prev := fx.deploy.Assign
+	with := func(edit func(next []TaskAssignment) []TaskAssignment) []TaskAssignment {
+		return edit(append([]TaskAssignment(nil), prev...))
 	}
+	onWorker := func(w int) []TaskAssignment {
+		return with(func(next []TaskAssignment) []TaskAssignment {
+			for i := range next {
+				next[i].Worker = w
+			}
+			return next
+		})
+	}
+	// Worker 2 dies; its tasks alternate onto the two survivors.
+	good := with(func(next []TaskAssignment) []TaskAssignment {
+		moved := 0
+		for i := range next {
+			if next[i].Worker == 2 {
+				next[i].Worker = moved % 2
+				moved++
+			}
+		}
+		return next
+	})
 	cases := []struct {
 		name string
 		next []TaskAssignment
 	}{
-		{"dropped task", prev[:1]},
-		{"invented task", []TaskAssignment{prev[0], {Task: engine.WireTaskID{Op: "c", Index: 0}, Worker: 0}}},
-		{"duplicate task", []TaskAssignment{prev[0], prev[0]}},
-		{"dead worker", []TaskAssignment{{Task: prev[0].Task, Worker: 2}, {Task: prev[1].Task, Worker: 0}}},
+		{"dropped task", prev[1:]},
+		{"invented task", with(func(next []TaskAssignment) []TaskAssignment {
+			return append(next, TaskAssignment{Task: engine.WireTaskID{Op: "c", Index: 0}, Worker: 0})
+		})},
+		{"duplicate task", with(func(next []TaskAssignment) []TaskAssignment {
+			next[len(next)-1] = next[0]
+			return next
+		})},
+		{"dead worker", prev},
+		{"overloaded worker", onWorker(0)},
 	}
+	co.rc.Fault(engine.Fault{Dead: []int{2}})
 	for _, tc := range cases {
-		if err := validateAssign(tc.next, prev, alive); err == nil {
+		if err := co.adopt(tc.next); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	good := []TaskAssignment{
-		{Task: prev[0].Task, Worker: 0},
-		{Task: prev[1].Task, Worker: 1},
-	}
-	if err := validateAssign(good, prev, alive); err != nil {
+	if err := co.adopt(good); err != nil {
 		t.Errorf("valid re-placement rejected: %v", err)
 	}
 }

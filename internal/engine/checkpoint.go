@@ -41,9 +41,7 @@ type taskSnapshot struct {
 type coordinator interface {
 	noteStarted(epoch int64) bool
 	record(t dataflow.TaskID, s *taskSnapshot) int64
-	lastCompleteEpoch() int64
 	snapshotFor(t dataflow.TaskID, epoch int64) *taskSnapshot
-	snapshotsTaken() int64
 }
 
 // checkpointCoordinator collects per-task snapshots into global checkpoint
@@ -118,33 +116,28 @@ func (c *checkpointCoordinator) record(t dataflow.TaskID, s *taskSnapshot) int64
 	return 0
 }
 
-// applyRescale rewrites the coordinator's durable snapshot set for a
-// parallelism change resuming from epoch: every epoch beyond the resume
-// point is discarded (they are partial — the rescale aborted the attempt
-// mid-stream — and the old and new task sets must never mix within one
-// epoch), removed tasks' histories are dropped, the repartitioned snapshots
-// are installed at the resume epoch, and the completion quorum becomes the
-// new task count.
-func (c *checkpointCoordinator) applyRescale(epoch int64, removed []dataflow.TaskID, repartitioned map[dataflow.TaskID]*taskSnapshot, numTasks int) {
+// applyRescale rewrites the durable snapshot set for a parallelism change
+// of op resuming from epoch: epochs beyond the resume point are discarded
+// (they are partial — the rescale aborted the attempt mid-stream — and the
+// old and new task sets must never mix within one epoch), op's task
+// histories are replaced by its repartitioned snapshots at the resume
+// epoch, and the completion quorum becomes the new task count.
+func (c *checkpointCoordinator) applyRescale(epoch int64, op dataflow.OperatorID, snaps []*taskSnapshot, numTasks int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, m := range c.snaps {
+	for t, m := range c.snaps {
+		if t.Op == op {
+			delete(c.snaps, t)
+			continue
+		}
 		for e := range m {
 			if e > epoch {
 				delete(m, e)
 			}
 		}
 	}
-	for _, t := range removed {
-		delete(c.snaps, t)
-	}
-	for t, s := range repartitioned {
-		byEpoch := c.snaps[t]
-		if byEpoch == nil {
-			byEpoch = make(map[int64]*taskSnapshot)
-			c.snaps[t] = byEpoch
-		}
-		byEpoch[epoch] = s
+	for i, s := range snaps {
+		c.snaps[dataflow.TaskID{Op: op, Index: i}] = map[int64]*taskSnapshot{epoch: s}
 	}
 	c.numTasks = numTasks
 	if epoch > c.lastComplete {

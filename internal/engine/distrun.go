@@ -38,7 +38,7 @@ func wireTaskOf(t dataflow.TaskID) WireTaskID {
 
 // WireSnapshot is one task's checkpoint contribution in wire-safe form.
 // Workers ship these to the coordinator as they are taken — the
-// coordinator's SnapshotStore models durable remote checkpoint storage, so
+// coordinator's Reconfig store models durable remote checkpoint storage, so
 // snapshots survive worker loss — and receive back the restore set for a
 // redeploy.
 type WireSnapshot struct {
@@ -157,16 +157,12 @@ func (c *remoteCoordinator) record(t dataflow.TaskID, s *taskSnapshot) int64 {
 	return 0 // epoch completion is global knowledge; only the coordinator has it
 }
 
-func (c *remoteCoordinator) lastCompleteEpoch() int64 { return c.restoreEpoch }
-
 func (c *remoteCoordinator) snapshotFor(t dataflow.TaskID, epoch int64) *taskSnapshot {
 	if epoch <= 0 || epoch != c.restoreEpoch {
 		return nil
 	}
 	return c.snaps[t]
 }
-
-func (c *remoteCoordinator) snapshotsTaken() int64 { return 0 }
 
 // WireTaskStats is one task's final counters in wire-safe form.
 type WireTaskStats struct {
@@ -241,7 +237,7 @@ func (j *Job) PrepareWorkerAttempt(cfg WorkerNetConfig) (*WorkerRun, error) {
 	}
 	rc := newRemoteCoordinator(cfg)
 	faults := newFaultState(FaultPlan{}, j.clk(), j.clk, j.opts.Telemetry.Tracer())
-	att, err := j.buildAttempt(cfg.AttemptNo, j.plan, rc, faults, cfg.RestoreEpoch, &cfg)
+	att, err := j.buildAttempt(cfg.AttemptNo, j.rc.plan, rc, faults, cfg.RestoreEpoch, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -365,113 +361,17 @@ func (r *WorkerRun) buildReport() *WorkerReport {
 	return rep
 }
 
-// SnapshotStore is the coordinator-side checkpoint storage for a
-// distributed run: the same epoch-completion logic the in-process
-// coordinator uses, fed by WireSnapshot frames. It lives in the controller
-// process, so checkpoints survive any worker's death.
-type SnapshotStore struct {
-	c *checkpointCoordinator
-}
-
-// NewSnapshotStore builds storage for a job with numTasks total tasks.
-func NewSnapshotStore(numTasks int) *SnapshotStore {
-	return &SnapshotStore{c: newCheckpointCoordinator(numTasks)}
-}
-
-// Record stores one snapshot and returns the epoch it completed (every
-// task reported), or 0.
-func (s *SnapshotStore) Record(w WireSnapshot) int64 {
-	t, snap := wireToSnapshot(w)
-	return s.c.record(t, snap)
-}
-
-// LastComplete is the newest globally complete epoch (0 if none).
-func (s *SnapshotStore) LastComplete() int64 { return s.c.lastCompleteEpoch() }
-
-// Taken counts distinct (task, epoch) snapshots recorded.
-func (s *SnapshotStore) Taken() int64 { return s.c.snapshotsTaken() }
-
-// EpochSnapshots returns every task's snapshot at the given epoch, in
-// canonical task order (nil for epoch 0).
-func (s *SnapshotStore) EpochSnapshots(epoch int64) []WireSnapshot {
-	if epoch <= 0 {
-		return nil
-	}
-	s.c.mu.Lock()
-	var out []WireSnapshot
-	for t, m := range s.c.snaps {
-		if snap := m[epoch]; snap != nil {
-			out = append(out, snapshotToWire(t, snap))
-		}
-	}
-	s.c.mu.Unlock()
-	sort.Slice(out, func(i, k int) bool {
-		if out[i].Task.Op != out[k].Task.Op {
-			return out[i].Task.Op < out[k].Task.Op
-		}
-		return out[i].Task.Index < out[k].Task.Index
-	})
-	return out
-}
-
-// ApplyRescale rewrites the store for a live parallelism change of one
-// operator, resuming from a globally complete epoch: the operator's oldP
-// snapshots at that epoch are split/merged along key-group boundaries into
-// newP snapshots (statebackend.Repartition plus the generic operator-aux
-// splitter), removed tasks' histories are dropped, and the epoch-completion
-// quorum becomes the new total task count. It returns the stored state bytes
-// whose owning task changed. The epoch must be complete — call under the
-// same supervision that produced it, after the attempt has been aborted and
-// its late snapshots collected.
-func (s *SnapshotStore) ApplyRescale(op string, oldP, newP, keyGroups int, epoch int64) (int64, error) {
-	if epoch <= 0 {
-		return 0, fmt.Errorf("engine: rescale of %q needs a complete epoch, got %d", op, epoch)
-	}
-	opID := dataflow.OperatorID(op)
-	oldSnaps := make([]*taskSnapshot, oldP)
-	for i := 0; i < oldP; i++ {
-		oldSnaps[i] = s.c.snapshotFor(dataflow.TaskID{Op: opID, Index: i}, epoch)
-	}
-	newSnaps, moved, err := repartitionTaskSnapshots(oldSnaps, oldP, newP, keyGroups)
-	if err != nil {
-		return 0, fmt.Errorf("engine: rescale %q %d→%d: %w", op, oldP, newP, err)
-	}
-	var removed []dataflow.TaskID
-	for i := newP; i < oldP; i++ {
-		removed = append(removed, dataflow.TaskID{Op: opID, Index: i})
-	}
-	repart := make(map[dataflow.TaskID]*taskSnapshot, newP)
-	for i, snap := range newSnaps {
-		repart[dataflow.TaskID{Op: opID, Index: i}] = snap
-	}
-	s.c.mu.Lock()
-	numTasks := s.c.numTasks - oldP + newP
-	s.c.mu.Unlock()
-	s.c.applyRescale(epoch, removed, repart, numTasks)
-	return moved, nil
-}
-
-// DistAgg is the coordinator-side recovery bookkeeping folded into an
-// assembled result.
+// DistAgg is the coordinator-side context an assembled result needs
+// beyond the worker reports.
 type DistAgg struct {
-	Elapsed       time.Duration
-	Recoveries    int
-	Downtime      time.Duration
-	Reprocessed   int64
-	RestoredEpoch int64
-	Snapshots     int64
-	Faults        []FaultRecord
-
-	// Live-rescale bookkeeping (see SnapshotStore.ApplyRescale).
-	Rescales        int
-	RescaleDowntime time.Duration
-	RescaleMoved    int64
+	Elapsed time.Duration
 }
 
 // AssembleDistResult folds the final attempt's worker reports into a
-// JobResult with the same counters and metrics registry an in-process run
-// produces (worker saturation gauges excepted: the meters live in the
-// worker processes).
+// JobResult with the same task, exchange and network counters an
+// in-process run produces (worker saturation gauges excepted: the meters
+// live in the worker processes). The coordinator's Reconfig.Finish adds the
+// job.* recovery and rescale accounting.
 func AssembleDistResult(reports []*WorkerReport, agg DistAgg) *JobResult {
 	res := &JobResult{
 		Elapsed: agg.Elapsed,
@@ -507,69 +407,15 @@ func AssembleDistResult(reports []*WorkerReport, agg DistAgg) *JobResult {
 		// still leave every scalar intact.
 		_ = creditWait.Merge(rep.NetCreditWait)
 		for _, ts := range rep.Tasks {
-			id := ts.Task.taskID()
-			busy := time.Duration(ts.BusySeconds * float64(time.Second))
-			useful := 0.0
-			inRate, outRate := 0.0, 0.0
-			if agg.Elapsed > 0 {
-				useful = ts.BusySeconds / agg.Elapsed.Seconds()
-				if useful > 1 {
-					useful = 1
-				}
-				inRate = float64(ts.RecordsIn) / agg.Elapsed.Seconds()
-				outRate = float64(ts.RecordsOut) / agg.Elapsed.Seconds()
-			}
-			res.Tasks[id] = TaskStats{
-				Worker:          ts.Worker,
-				RecordsIn:       ts.RecordsIn,
-				RecordsOut:      ts.RecordsOut,
-				BytesOut:        ts.BytesOut,
-				BusyTime:        busy,
-				BackpressureT:   time.Duration(ts.BackpressureSeconds * float64(time.Second)),
-				UsefulFraction:  useful,
-				ObservedInRate:  inRate,
-				ObservedOutRate: outRate,
-			}
-			name := func(metric string) string {
-				return metrics.TaskMetricName(ts.Task.Op, ts.Task.Index, metric)
-			}
-			bp := time.Duration(ts.BackpressureSeconds * float64(time.Second))
-			res.Metrics.Counter(name("records_in")).Inc(ts.RecordsIn)   //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("records_out")).Inc(ts.RecordsOut) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Counter(name("bytes_out")).Inc(ts.BytesOut)     //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("busy_seconds")).Add(busy)            //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Time(name("backpressure_seconds")).Add(bp)      //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			res.Metrics.Gauge(name("useful_fraction")).Set(useful)      //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-			if ts.IsSink {
-				res.SinkRecords += ts.RecordsIn
-			}
-			if ts.IsSource {
-				res.SourceRecords += ts.RecordsOut
-			}
-			if ts.Dead {
-				res.Failed = true
-			}
+			res.addTask(ts.Task.taskID(), TaskStats{
+				Worker:        ts.Worker,
+				RecordsIn:     ts.RecordsIn,
+				RecordsOut:    ts.RecordsOut,
+				BytesOut:      ts.BytesOut,
+				BusyTime:      time.Duration(ts.BusySeconds * float64(time.Second)),
+				BackpressureT: time.Duration(ts.BackpressureSeconds * float64(time.Second)),
+			}, ts.BusySeconds, ts.IsSink, ts.IsSource, ts.Dead)
 		}
-	}
-	res.Faults = agg.Faults
-	res.Recoveries = agg.Recoveries
-	res.Downtime = agg.Downtime
-	res.RecordsReprocessed = agg.Reprocessed
-	res.SnapshotsTaken = agg.Snapshots
-	res.RestoredEpoch = agg.RestoredEpoch
-	res.Metrics.Counter("job.recoveries").Inc(int64(res.Recoveries))
-	res.Metrics.Gauge("job.downtime_seconds").Set(res.Downtime.Seconds())
-	res.Metrics.Counter("job.records_reprocessed").Inc(res.RecordsReprocessed)
-	res.Metrics.Counter("job.lost_records").Inc(res.LostRecords)
-	res.Metrics.Counter("job.snapshots").Inc(res.SnapshotsTaken)
-	res.Metrics.Gauge("job.restored_epoch").Set(float64(res.RestoredEpoch))
-	res.Rescales = agg.Rescales
-	res.RescaleDowntime = agg.RescaleDowntime
-	res.RescaleMovedBytes = agg.RescaleMoved
-	if res.Rescales > 0 {
-		res.Metrics.Counter("job.rescales").Inc(int64(res.Rescales))
-		res.Metrics.Gauge("job.rescale_downtime_seconds").Set(res.RescaleDowntime.Seconds())
-		res.Metrics.Counter("job.rescale_moved_bytes").Inc(res.RescaleMovedBytes)
 	}
 	res.Metrics.Counter("exchange.batches").Inc(batches)
 	res.Metrics.Counter("exchange.batch_records").Inc(batchRecords)

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,11 +199,11 @@ func (r *JobResult) OperatorInRate(op dataflow.OperatorID) float64 {
 	return total
 }
 
-// Job is a deployable engine job.
+// Job is a deployable engine job. A Job runs once.
 type Job struct {
-	graph     *dataflow.LogicalGraph
-	phys      *dataflow.PhysicalGraph
-	plan      *dataflow.Plan
+	// rc owns the graph, plan and checkpoint store across attempts and
+	// decides every restart (see reconfig.go).
+	rc        *Reconfig
 	spec      ClusterSpec
 	opts      JobOptions
 	factories map[dataflow.OperatorID]Factory
@@ -212,13 +211,8 @@ type Job struct {
 	clk       clock.Clock
 	// fuseNext maps each operator to the operator fused onto it when the
 	// plan co-locates their paired tasks (empty when fusion is disabled).
+	// Run recomputes it after a rescale.
 	fuseNext map[dataflow.OperatorID]dataflow.OperatorID
-	// pendingRescales queues live parallelism changes; graph/phys/fuseNext
-	// are rewritten between attempts when one applies. Run's goroutine owns
-	// those fields; rescaleMu guards only the queue, which Job.Rescale may
-	// touch from any goroutine.
-	rescaleMu       sync.Mutex
-	pendingRescales []RescalePlan
 }
 
 // NewJob wires a physical graph onto engine workers according to plan.
@@ -246,56 +240,23 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 	if opts.BatchLinger == 0 {
 		opts.BatchLinger = DefaultBatchLinger
 	}
-	if opts.KeyGroups < 0 {
-		return nil, fmt.Errorf("engine: KeyGroups must be non-negative")
+	rc, err := NewReconfig(ReconfigConfig{
+		Graph:            g,
+		Plan:             plan,
+		Cluster:          spec,
+		KeyGroups:        opts.KeyGroups,
+		SnapshotInterval: opts.SnapshotInterval,
+		Now:              opts.Now,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if opts.KeyGroups == 0 {
-		opts.KeyGroups = statebackend.DefaultKeyGroups
-		// An explicit zero adapts to the graph: an operator wider than the
-		// default group count just gets more groups, so pre-key-group jobs
-		// keep working unchanged.
-		for _, op := range g.Operators() {
-			if op.Parallelism > opts.KeyGroups {
-				opts.KeyGroups = op.Parallelism
-			}
-		}
-	} else {
-		for _, op := range g.Operators() {
-			if op.Parallelism > opts.KeyGroups {
-				return nil, fmt.Errorf("engine: operator %q parallelism %d exceeds %d key-groups", op.ID, op.Parallelism, opts.KeyGroups)
-			}
-		}
-	}
+	opts.KeyGroups = rc.KeyGroups()
 	// Snapshots must split along the same group boundaries records route on.
 	opts.StateOptions.NumKeyGroups = opts.KeyGroups
 	transport, err := transportFor(opts)
 	if err != nil {
 		return nil, err
-	}
-	phys, err := dataflow.Expand(g)
-	if err != nil {
-		return nil, err
-	}
-	if len(spec.Workers) == 0 {
-		return nil, fmt.Errorf("engine: no workers")
-	}
-	slotUse := make([]int, len(spec.Workers))
-	taskSet := make(map[dataflow.TaskID]bool, phys.NumTasks())
-	for _, t := range phys.Tasks() {
-		taskSet[t] = true
-		w, ok := plan.Worker(t)
-		if !ok {
-			return nil, fmt.Errorf("engine: task %v unassigned", t)
-		}
-		if w < 0 || w >= len(spec.Workers) {
-			return nil, fmt.Errorf("engine: task %v on invalid worker %d", t, w)
-		}
-		slotUse[w]++
-	}
-	for w, used := range slotUse {
-		if used > spec.Workers[w].Slots {
-			return nil, fmt.Errorf("engine: worker %s over capacity (%d > %d)", spec.Workers[w].ID, used, spec.Workers[w].Slots)
-		}
 	}
 	for _, op := range g.Operators() {
 		if _, ok := factories[op.ID]; !ok {
@@ -316,19 +277,17 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 		}
 	}
 	for _, c := range opts.FaultPlan.CrashTasks {
-		if !taskSet[c.Task] {
+		if _, ok := plan.Worker(c.Task); !ok {
 			return nil, fmt.Errorf("engine: fault plan crashes unknown task %v", c.Task)
 		}
 	}
 	for _, s := range opts.FaultPlan.StallTasks {
-		if !taskSet[s.Task] {
+		if _, ok := plan.Worker(s.Task); !ok {
 			return nil, fmt.Errorf("engine: fault plan stalls unknown task %v", s.Task)
 		}
 	}
 	j := &Job{
-		graph:     g,
-		phys:      phys,
-		plan:      plan,
+		rc:        rc,
 		spec:      spec,
 		opts:      opts,
 		factories: factories,
@@ -337,23 +296,11 @@ func NewJob(g *dataflow.LogicalGraph, plan *dataflow.Plan, spec ClusterSpec, fac
 		fuseNext:  fusionMap(g, opts.DisableFusion),
 	}
 	for _, p := range opts.Rescales {
-		if err := j.schedule(p); err != nil {
+		if err := rc.Schedule(p); err != nil {
 			return nil, err
 		}
 	}
 	return j, nil
-}
-
-// runAgg accumulates recovery and rescale bookkeeping across attempts.
-type runAgg struct {
-	recoveries      int
-	downtime        time.Duration
-	reprocessed     int64
-	lost            int64
-	restoredEpoch   int64
-	rescales        int
-	rescaleDowntime time.Duration
-	rescaleMoved    int64
 }
 
 // Transport reports the resolved data-plane transport the job runs under.
@@ -362,81 +309,39 @@ func (j *Job) Transport() string { return j.transport.Name() }
 // Run executes the job until all sources are exhausted and the pipeline has
 // drained, or ctx is canceled (sources stop early; the pipeline still
 // drains). Recoverable faults restart the job from the last complete
-// checkpoint epoch, re-placing tasks via OnFailure when a worker dies.
+// checkpoint epoch, re-placing tasks via OnFailure when a worker dies, and
+// drained rescales resume it on the rescaled graph.
 func (j *Job) Run(ctx context.Context) (*JobResult, error) {
 	start := j.clk()
 	tracer := j.opts.Telemetry.Tracer()
 	faults := newFaultState(j.opts.FaultPlan, start, j.clk, tracer)
-	coord := newCheckpointCoordinator(j.phys.NumTasks())
 	tracer.Emit(telemetry.Event{Kind: telemetry.EventJobStart, Attrs: map[string]any{
-		"tasks":     j.phys.NumTasks(),
+		"tasks":     j.rc.phys.NumTasks(),
 		"workers":   len(j.spec.Workers),
 		"transport": j.transport.Name(),
 	}})
-	plan := j.plan
-	dead := make(map[int]bool)
-	var agg runAgg
-	var failedAt, rescaledAt time.Time
-	var rescaleEv *RescaleEvent
-	attemptNo := 0
-	for {
-		attemptNo++
-		att, err := j.buildAttempt(attemptNo, plan, coord, faults, agg.restoredEpoch, nil)
+	var lost int64
+	for attemptNo := 1; ; attemptNo++ {
+		att, err := j.buildAttempt(attemptNo, j.rc.plan, j.rc.ckpt, faults, j.rc.restored, nil)
 		if err != nil {
 			return nil, err
 		}
-		if !failedAt.IsZero() {
-			// Downtime covers abort, re-placement and rebuild+restore.
-			agg.downtime += j.clk.Since(failedAt)
-			failedAt = time.Time{}
-		}
-		if !rescaledAt.IsZero() {
-			// Rescale downtime likewise ends once the rescaled attempt is
-			// built and restored, just before its tasks start.
-			d := j.clk.Since(rescaledAt)
-			agg.rescaleDowntime += d
-			rescaledAt = time.Time{}
-			emitRescaleComplete(j.opts.Telemetry, rescaleEv, d)
-			rescaleEv = nil
+		// Downtime covers abort, re-placement and rebuild+restore.
+		for _, ev := range j.rc.AttemptStarted() {
+			tracer.Emit(ev)
 		}
 		ev, err := att.run(ctx)
 		att.close()
 		if err != nil {
 			return nil, err
 		}
-		agg.lost += att.lost.Load()
-		if ev == nil {
-			if epoch, at := att.takeRescale(); epoch > 0 {
-				// The attempt drained for a live rescale: count the work the
-				// resume point rolls back, repartition the operator's state
-				// along key-group boundaries, and redeploy from that epoch.
-				// A later epoch may have completed (pruning the trigger
-				// epoch's snapshots) between the trigger and the abort
-				// landing; the newest complete epoch is always fully
-				// retained, so resume from it.
-				if lc := coord.lastCompleteEpoch(); lc > epoch {
-					epoch = lc
-				}
-				p := j.dueRescale(epoch)
-				if p == nil {
-					return nil, fmt.Errorf("engine: rescale drained at epoch %d but no plan is pending", epoch)
-				}
-				agg.reprocessed += att.reprocessedSince(coord, epoch)
-				newPlan, rev, err := j.applyRescale(p, epoch, coord, plan, dead, attemptNo)
-				if err != nil {
-					return nil, err
-				}
-				j.dropRescale(p)
-				plan = newPlan
-				agg.restoredEpoch = epoch
-				agg.rescales++
-				agg.rescaleMoved += rev.MovedBytes
-				rescaledAt = at
-				rescaleEv = rev
-				emitRescaleStart(j.opts.Telemetry, rev)
-				continue
-			}
-			res := j.finalize(att, faults, coord, j.clk.Since(start), &agg)
+		lost += att.lost.Load()
+		if ev != nil {
+			err = j.recover(att, ev, faults)
+		} else if epoch, at := att.takeRescale(); epoch > 0 {
+			err = j.rescale(att, epoch, at)
+		} else {
+			res := j.finalize(att, faults, j.clk.Since(start), lost)
 			tracer.Emit(telemetry.Event{Kind: telemetry.EventJobComplete, Attrs: map[string]any{
 				"elapsed_ms":   res.Elapsed.Seconds() * 1e3,
 				"failed":       res.Failed,
@@ -445,93 +350,65 @@ func (j *Job) Run(ctx context.Context) (*JobResult, error) {
 			}})
 			return res, nil
 		}
-		// Recoverable fault: re-place if a worker died, then restart from
-		// the newest globally complete checkpoint.
-		agg.recoveries++
-		recEv := telemetry.Event{
-			Kind:    telemetry.EventRecoveryStart,
-			Task:    ev.Task.String(),
-			Op:      string(ev.Task.Op),
-			Epoch:   ev.Epoch,
-			Attempt: ev.Attempt,
-			Attrs:   map[string]any{"fault": ev.Kind.String()},
+		if err != nil {
+			return nil, err
 		}
-		if ev.Kind == FaultKillWorker {
-			recEv.Worker = ev.WorkerID
-		}
-		tracer.Emit(recEv)
-		if ev.Kind == FaultKillWorker {
-			dead[ev.Worker] = true
-		}
-		ev.DeadWorkers = deadList(dead)
-		if ev.Kind == FaultKillWorker {
-			newPlan, err := j.opts.OnFailure(*ev)
-			if err != nil {
-				return nil, fmt.Errorf("engine: recovery re-placement after %v on worker %d: %w", ev.Kind, ev.Worker, err)
-			}
-			if err := j.validateRecoveryPlan(newPlan, dead); err != nil {
-				return nil, err
-			}
-			plan = newPlan
-		} else if j.opts.OnFailure != nil {
-			newPlan, err := j.opts.OnFailure(*ev)
-			if err != nil {
-				return nil, fmt.Errorf("engine: recovery callback after %v: %w", ev.Kind, err)
-			}
-			if newPlan != nil {
-				if err := j.validateRecoveryPlan(newPlan, dead); err != nil {
-					return nil, err
-				}
-				plan = newPlan
-			}
-		}
-		restore := coord.lastCompleteEpoch()
-		agg.restoredEpoch = restore
-		agg.reprocessed += att.reprocessedSince(coord, restore)
-		faults.markRecovered(ev.Kind, ev.Task, ev.Worker)
-		failedAt = att.failTime()
-		tracer.Emit(telemetry.Event{
-			Kind:    telemetry.EventRecoveryRestart,
-			Epoch:   restore,
-			Attempt: attemptNo + 1,
-			Attrs:   map[string]any{"dead_workers": len(dead)},
-		})
 	}
 }
 
-func deadList(dead map[int]bool) []int {
-	out := make([]int, 0, len(dead))
-	for w := range dead {
-		out = append(out, w)
+// recover restarts after a recoverable fault: the core picks the restore
+// epoch, and OnFailure re-places when a worker died (or, for other faults,
+// may move tasks by returning a non-nil plan).
+func (j *Job) recover(att *attempt, ev *FailureEvent, faults *faultState) error {
+	tracer := j.opts.Telemetry.Tracer()
+	var dead []int
+	if ev.Kind == FaultKillWorker {
+		dead = []int{ev.Worker}
 	}
-	sort.Ints(out)
-	return out
+	tracer.Emit(telemetry.Event{Kind: telemetry.EventRecoveryStart, Task: ev.Task.String(), Op: string(ev.Task.Op),
+		Worker: ev.WorkerID, Epoch: ev.Epoch, Attempt: ev.Attempt, Attrs: map[string]any{"fault": ev.Kind.String()}})
+	dec := j.rc.Fault(Fault{At: att.failTime(), Dead: dead, Progress: att.progress()})
+	ev.DeadWorkers = j.rc.DeadWorkers()
+	if j.opts.OnFailure != nil {
+		plan, err := j.opts.OnFailure(*ev)
+		// For non-kill faults a nil plan keeps the current placement.
+		if err == nil && (plan != nil || dec.Replace) {
+			err = j.rc.SetPlan(plan)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: recovery re-placement after %v: %w", ev.Kind, err)
+		}
+	}
+	faults.markRecovered(ev.Kind, ev.Task, ev.Worker)
+	tracer.Emit(telemetry.Event{Kind: telemetry.EventRecoveryRestart, Epoch: dec.Epoch, Attempt: ev.Attempt + 1,
+		Attrs: map[string]any{"dead_workers": len(ev.DeadWorkers)}})
+	return nil
 }
 
-// validateRecoveryPlan rejects partial or dead-worker plans so a broken
-// re-placement fails loudly instead of silently re-deploying onto a corpse.
-func (j *Job) validateRecoveryPlan(plan *dataflow.Plan, dead map[int]bool) error {
-	if plan == nil {
-		return fmt.Errorf("engine: recovery returned nil plan")
+// rescale resumes after an attempt drained for a live rescale: the core
+// repartitions state and swaps in the rescaled graph, and OnRescale (or the
+// core's default packing) places it.
+func (j *Job) rescale(att *attempt, epoch int64, at time.Time) error {
+	prev := j.rc.plan
+	dec, err := j.rc.RescaleDrained(epoch, at, att.progress(), att.no)
+	if err != nil {
+		return err
 	}
-	slotUse := make([]int, len(j.spec.Workers))
-	for _, t := range j.phys.Tasks() {
-		w, ok := plan.Worker(t)
-		if !ok {
-			return fmt.Errorf("engine: recovery plan leaves task %v unassigned", t)
-		}
-		if w < 0 || w >= len(j.spec.Workers) {
-			return fmt.Errorf("engine: recovery plan puts task %v on invalid worker %d", t, w)
-		}
-		if dead[w] {
-			return fmt.Errorf("engine: recovery plan puts task %v on dead worker %d", t, w)
-		}
-		slotUse[w]++
+	j.fuseNext = fusionMap(j.rc.graph, j.opts.DisableFusion)
+	var plan *dataflow.Plan
+	if j.opts.OnRescale != nil {
+		plan, err = j.opts.OnRescale(*dec.Rescale, prev, j.rc.phys)
+	} else {
+		plan, err = j.rc.DefaultRescalePlan()
 	}
-	for w, used := range slotUse {
-		if used > j.spec.Workers[w].Slots {
-			return fmt.Errorf("engine: recovery plan overloads worker %s (%d > %d)", j.spec.Workers[w].ID, used, j.spec.Workers[w].Slots)
-		}
+	if err == nil {
+		err = j.rc.SetPlan(plan)
+	}
+	if err != nil {
+		return fmt.Errorf("engine: rescale re-placement for %q: %w", dec.Rescale.Op, err)
+	}
+	for _, ev := range dec.Trace {
+		j.opts.Telemetry.Tracer().Emit(ev)
 	}
 	return nil
 }
@@ -582,6 +459,7 @@ func localTo(dist *WorkerNetConfig, w int) bool {
 
 func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, faults *faultState, restoreEpoch int64, dist *WorkerNetConfig) (*attempt, error) {
 	a := &attempt{j: j, no: no, plan: plan, coord: coord, faults: faults, clk: j.clk, abort: make(chan struct{}), dist: dist}
+	g, phys := j.rc.graph, j.rc.phys
 	workers := make([]*WorkerResources, len(j.spec.Workers))
 	stores := make([]*statebackend.Store, len(j.spec.Workers))
 	for i, ws := range j.spec.Workers {
@@ -614,9 +492,9 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 	}
 
 	// Build runtimes and inboxes.
-	byID := make(map[dataflow.TaskID]*taskRuntime, j.phys.NumTasks())
+	byID := make(map[dataflow.TaskID]*taskRuntime, phys.NumTasks())
 	var tasks []*taskRuntime
-	for _, t := range j.phys.Tasks() {
+	for _, t := range phys.Tasks() {
 		w, ok := plan.Worker(t)
 		if !ok {
 			return nil, fmt.Errorf("engine: task %v unassigned", t)
@@ -626,7 +504,7 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 			// remote tasks exist as wire endpoints wired below.
 			continue
 		}
-		op := j.graph.Operator(t.Op)
+		op := g.Operator(t.Op)
 		rt := &taskRuntime{
 			id:      t,
 			worker:  w,
@@ -634,11 +512,11 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 			att:     a,
 			inbox:   make(chan message, j.opts.ChannelCapacity),
 			gate:    j.transport.newGate(j.opts.ChannelCapacity),
-			numIn:   len(j.phys.In(t)),
+			numIn:   len(phys.In(t)),
 			cpuCost: j.opts.PerRecordCPU[t.Op],
-			isSink:  len(j.graph.Downstream(t.Op)) == 0,
+			isSink:  len(g.Downstream(t.Op)) == 0,
 		}
-		if len(j.phys.In(t)) > 0 {
+		if len(phys.In(t)) > 0 {
 			// Non-source tasks sample end-to-end latency; parallel tasks of
 			// one operator share the operator's histogram.
 			rt.lat = j.opts.Telemetry.Histogram("latency." + string(t.Op))
@@ -734,12 +612,12 @@ func (j *Job) buildAttempt(no int, plan *dataflow.Plan, coord coordinator, fault
 	// including remote ones in a distributed attempt — so channel indices
 	// are identical in every process of a cluster; cross-worker channels
 	// are collected for the network transport's grantor/mirror setup.
-	nextCh := make(map[dataflow.TaskID]int, j.phys.NumTasks())
+	nextCh := make(map[dataflow.TaskID]int, phys.NumTasks())
 	var cross []crossChan
-	for _, e := range j.graph.Edges() {
-		downTasks := j.phys.TasksOf(e.To)
-		inIdx := upstreamIndex(j.graph, e.To, e.From)
-		for _, ut := range j.phys.TasksOf(e.From) {
+	for _, e := range g.Edges() {
+		downTasks := phys.TasksOf(e.To)
+		inIdx := upstreamIndex(g, e.To, e.From)
+		for _, ut := range phys.TasksOf(e.From) {
 			uw, ok := plan.Worker(ut)
 			if !ok {
 				return nil, fmt.Errorf("engine: task %v unassigned", ut)
@@ -953,23 +831,14 @@ func (a *attempt) doAbort() {
 	a.abortOnce.Do(func() { close(a.abort) })
 }
 
-// reprocessedSince counts the records processed in this attempt beyond the
-// restore epoch — work that the restore rolls back and the next attempt
-// must redo.
-func (a *attempt) reprocessedSince(coord *checkpointCoordinator, epoch int64) int64 {
-	var total int64
+// progress reports each task's records in: the aborted attempt's input to
+// the core's rollback accounting.
+func (a *attempt) progress() map[dataflow.TaskID]int64 {
+	out := make(map[dataflow.TaskID]int64, len(a.tasks))
 	for _, rt := range a.tasks {
-		base := int64(0)
-		if snap := coord.snapshotFor(rt.id, epoch); snap != nil {
-			base = snap.recordsIn
-		} else if rt.restore != nil {
-			base = rt.restore.recordsIn
-		}
-		if d := rt.recordsIn - base; d > 0 {
-			total += d
-		}
+		out[rt.id] = rt.recordsIn
 	}
-	return total
+	return out
 }
 
 // snapshotTask records one task's checkpoint contribution for an epoch.
@@ -1013,7 +882,7 @@ func (a *attempt) snapshotTask(rt *taskRuntime, epoch, srcOffset int64) error {
 }
 
 // finalize assembles the JobResult from the final attempt.
-func (j *Job) finalize(a *attempt, faults *faultState, coord *checkpointCoordinator, elapsed time.Duration, agg *runAgg) *JobResult {
+func (j *Job) finalize(a *attempt, faults *faultState, elapsed time.Duration, lost int64) *JobResult {
 	res := &JobResult{
 		Elapsed: elapsed,
 		Tasks:   make(map[dataflow.TaskID]TaskStats, len(a.tasks)),
@@ -1023,55 +892,24 @@ func (j *Job) finalize(a *attempt, faults *faultState, coord *checkpointCoordina
 	var creditStallT time.Duration
 	var stateBytes, stateKeys, stateNamespaces int
 	for _, rt := range a.tasks {
-		// Rates and useful fractions are undefined for a zero elapsed time
-		// (possible only under an injected frozen clock); report zeros.
-		useful := 0.0
-		inRate, outRate := 0.0, 0.0
-		if elapsed > 0 {
-			useful = rt.busy.Seconds() / elapsed.Seconds()
-			if useful > 1 {
-				useful = 1
-			}
-			inRate = float64(rt.recordsIn) / elapsed.Seconds()
-			outRate = float64(rt.recordsOut) / elapsed.Seconds()
-		}
-		st := TaskStats{
-			Worker:          rt.worker,
-			RecordsIn:       rt.recordsIn,
-			RecordsOut:      rt.recordsOut,
-			BytesOut:        rt.bytesOut,
-			BusyTime:        rt.busy,
-			BackpressureT:   rt.bp,
-			UsefulFraction:  useful,
-			ObservedInRate:  inRate,
-			ObservedOutRate: outRate,
-		}
-		res.Tasks[rt.id] = st
-		name := func(metric string) string {
-			return metrics.TaskMetricName(string(rt.id.Op), rt.id.Index, metric)
-		}
-		res.Metrics.Counter(name("records_in")).Inc(rt.recordsIn)   //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-		res.Metrics.Counter(name("records_out")).Inc(rt.recordsOut) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-		res.Metrics.Counter(name("bytes_out")).Inc(rt.bytesOut)     //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-		res.Metrics.Time(name("busy_seconds")).Add(rt.busy)         //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-		res.Metrics.Time(name("backpressure_seconds")).Add(rt.bp)   //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
-		res.Metrics.Gauge(name("useful_fraction")).Set(useful)      //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+		res.addTask(rt.id, TaskStats{
+			Worker:        rt.worker,
+			RecordsIn:     rt.recordsIn,
+			RecordsOut:    rt.recordsOut,
+			BytesOut:      rt.bytesOut,
+			BusyTime:      rt.busy,
+			BackpressureT: rt.bp,
+		}, rt.busy.Seconds(), rt.isSink, rt.numIn == 0, rt.dead)
 		if rt.ctx.State != nil {
+			name := func(metric string) string {
+				return metrics.TaskMetricName(string(rt.id.Op), rt.id.Index, metric)
+			}
 			sb, sk := rt.ctx.State.StoredBytes(), rt.ctx.State.Keys()
 			res.Metrics.Gauge(name("state_bytes")).Set(float64(sb)) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
 			res.Metrics.Gauge(name("state_keys")).Set(float64(sk))  //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
 			stateBytes += sb
 			stateKeys += sk
 			stateNamespaces++
-		}
-		if rt.isSink {
-			res.SinkRecords += rt.recordsIn
-		}
-		if rt.numIn == 0 {
-			res.SourceRecords += rt.recordsOut
-		}
-		if rt.dead {
-			res.Failed = true
 		}
 		batches += rt.batches
 		batchRecords += rt.batchRecords
@@ -1103,39 +941,8 @@ func (j *Job) finalize(a *attempt, faults *faultState, coord *checkpointCoordina
 		res.Metrics.Gauge("worker." + id + ".net_saturation").Set(wr.Net.Utilization())
 	}
 	res.Faults = faults.all()
-	res.Recoveries = agg.recoveries
-	res.Downtime = agg.downtime
-	res.RecordsReprocessed = agg.reprocessed
-	res.LostRecords = agg.lost
-	res.SnapshotsTaken = coord.snapshotsTaken()
-	res.RestoredEpoch = agg.restoredEpoch
-	res.Rescales = agg.rescales
-	res.RescaleDowntime = agg.rescaleDowntime
-	res.RescaleMovedBytes = agg.rescaleMoved
-	if res.Failed {
-		// Unrecovered faults leave their tasks down from the fault until
-		// the end of the run.
-		first := elapsed
-		for _, f := range res.Faults {
-			if f.Kind != FaultStallTask && !f.Recovered && f.At < first {
-				first = f.At
-			}
-		}
-		res.Downtime += elapsed - first
-	}
-	res.Metrics.Counter("job.recoveries").Inc(int64(res.Recoveries))
-	res.Metrics.Gauge("job.downtime_seconds").Set(res.Downtime.Seconds())
-	res.Metrics.Counter("job.records_reprocessed").Inc(res.RecordsReprocessed)
-	res.Metrics.Counter("job.lost_records").Inc(res.LostRecords)
-	res.Metrics.Counter("job.snapshots").Inc(res.SnapshotsTaken)
-	res.Metrics.Gauge("job.restored_epoch").Set(float64(res.RestoredEpoch))
-	// Rescale telemetry appears only when a rescale actually ran, keeping
-	// the metric surface of ordinary jobs — goldens included — unchanged.
-	if res.Rescales > 0 {
-		res.Metrics.Counter("job.rescales").Inc(int64(res.Rescales))
-		res.Metrics.Gauge("job.rescale_downtime_seconds").Set(res.RescaleDowntime.Seconds())
-		res.Metrics.Counter("job.rescale_moved_bytes").Inc(res.RescaleMovedBytes)
-	}
+	res.LostRecords = lost
+	j.rc.Finish(res)
 	res.Metrics.Counter("exchange.batches").Inc(batches)
 	res.Metrics.Counter("exchange.batch_records").Inc(batchRecords)
 	res.Metrics.Counter("exchange.credit_stalls").Inc(creditStalls)
@@ -1144,6 +951,39 @@ func (j *Job) finalize(a *attempt, faults *faultState, coord *checkpointCoordina
 		a.net.exportMetrics(res.Metrics)
 	}
 	return res
+}
+
+// addTask folds one task's final counters into the result: its TaskStats
+// with rates and useful fraction over res.Elapsed, its per-task metrics, and
+// the job's sink, source and failure totals. busySec is the busy time in
+// seconds as the task measured it.
+func (res *JobResult) addTask(id dataflow.TaskID, st TaskStats, busySec float64, sink, source, dead bool) {
+	// Rates and useful fractions are undefined for a zero elapsed time
+	// (possible only under an injected frozen clock); report zeros.
+	if secs := res.Elapsed.Seconds(); secs > 0 {
+		st.UsefulFraction = min(busySec/secs, 1)
+		st.ObservedInRate = float64(st.RecordsIn) / secs
+		st.ObservedOutRate = float64(st.RecordsOut) / secs
+	}
+	res.Tasks[id] = st
+	name := func(metric string) string {
+		return metrics.TaskMetricName(string(id.Op), id.Index, metric)
+	}
+	res.Metrics.Counter(name("records_in")).Inc(st.RecordsIn)            //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+	res.Metrics.Counter(name("records_out")).Inc(st.RecordsOut)          //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+	res.Metrics.Counter(name("bytes_out")).Inc(st.BytesOut)              //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+	res.Metrics.Time(name("busy_seconds")).Add(st.BusyTime)              //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+	res.Metrics.Time(name("backpressure_seconds")).Add(st.BackpressureT) //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+	res.Metrics.Gauge(name("useful_fraction")).Set(st.UsefulFraction)    //capslint:allow metricnames per-task series built by metrics.TaskMetricName, which canonicalizes
+	if sink {
+		res.SinkRecords += st.RecordsIn
+	}
+	if source {
+		res.SourceRecords += st.RecordsOut
+	}
+	if dead {
+		res.Failed = true
+	}
 }
 
 func mustFactory(j *Job, t dataflow.TaskID, tctx *TaskContext) (any, error) {
